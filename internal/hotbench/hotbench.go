@@ -162,11 +162,11 @@ func loadCorpus(workers int) ([]*app, error) {
 	return apps, nil
 }
 
-// gateFarm builds the force-execution benchmark app: gateFarmGates
+// GateFarm builds the force-execution benchmark app: gateFarmGates
 // independent branches the launch never takes, each guarding a short block.
 // Every gate is one UCB, so one campaign schedules gateFarmGates forced
 // runs in its first iteration.
-func gateFarm() (*apk.APK, []*dex.File, error) {
+func GateFarm() (*apk.APK, []*dex.File, error) {
 	p := dexgen.New()
 	main := p.Class("Lbench/Gates;", "Landroid/app/Activity;")
 	main.Ctor("Landroid/app/Activity;", nil)
@@ -303,7 +303,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gfPkg, gfFiles, err := gateFarm()
+	gfPkg, gfFiles, err := GateFarm()
 	if err != nil {
 		return nil, fmt.Errorf("hotbench: gate farm: %w", err)
 	}
