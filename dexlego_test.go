@@ -78,10 +78,11 @@ func TestRevealWithForceExecutionCoversGatedLeak(t *testing.T) {
 	countSMS := func(res *root.Result) int {
 		n := 0
 		em := res.RevealedDex.FindMethod("Lapi/Main;", "onCreate", "")
-		placed, err := bytecode.DecodeAll(em.Code.Insns)
-		if err != nil {
+		prog := bytecode.Predecode(em.Code.Insns)
+		if err := prog.Err(); err != nil {
 			t.Fatal(err)
 		}
+		placed := prog.Insts()
 		for _, pl := range placed {
 			if pl.Inst.Op.IsInvoke() &&
 				res.RevealedDex.MethodAt(pl.Inst.Index).Name == "sendTextMessage" {

@@ -221,7 +221,7 @@ func (rt *Runtime) run(st *execState, f *frame) (Value, error) {
 			d, ci = f.prog.Lookup(f.pc)
 		}
 		if d != nil {
-			in, width = &d.Inst, d.Width
+			in, width = &d.Inst, int(d.Width)
 		} else {
 			var derr error
 			local, width, derr = bytecode.Decode(m.Insns, f.pc)
@@ -332,7 +332,7 @@ func (rt *Runtime) run(st *execState, f *frame) (Value, error) {
 					}
 					f.regs[nd.A] = f.result
 					f.hasRes = false
-					f.pc += nd.Width
+					f.pc += int(nd.Width)
 				}
 			case in.Op >= bytecode.OpConst4 && in.Op <= bytecode.OpConstHigh16:
 				if nd, _ := f.prog.Lookup(f.pc); nd != nil &&
@@ -344,7 +344,7 @@ func (rt *Runtime) run(st *execState, f *frame) (Value, error) {
 						return Value{}, ErrStepBudget
 					}
 					f.regs[nd.A] = f.regs[nd.B]
-					f.pc += nd.Width
+					f.pc += int(nd.Width)
 				}
 			case in.Op.IsBranch():
 				if nd, _ := f.prog.Lookup(f.pc); nd != nil && nd.Op.IsGoto() {

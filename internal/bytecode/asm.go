@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -101,6 +102,15 @@ func (a *Assembler) Label(name string) *Assembler {
 		return a
 	}
 	return a.BindLabel(a.Intern(name))
+}
+
+// Reserve makes room for n more instructions and label bindings, so a
+// caller that knows the size of what it emits grows the buffers once.
+// Appending to an unsized slice regrows it by 1.25x once large, which costs
+// about five times the final size in allocation and zeroing.
+func (a *Assembler) Reserve(n int) {
+	a.items = slices.Grow(a.items, n)
+	a.binds = slices.Grow(a.binds, n)
 }
 
 func (a *Assembler) push(it asmItem) *Assembler {

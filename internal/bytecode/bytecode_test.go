@@ -285,10 +285,11 @@ func TestAssemblerLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := DecodeAll(insns)
-	if err != nil {
+	prog := Predecode(insns)
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
+	placed := prog.Insts()
 	// const/4, const/16 (10 exceeds 4-bit range), if-ge, add-int/lit8,
 	// goto/16, return.
 	wantOps := []Opcode{OpConst4, OpConst16, OpIfGe, OpAddIntLit8, OpGoto16, OpReturn}
@@ -302,12 +303,12 @@ func TestAssemblerLoop(t *testing.T) {
 	}
 	// The if-ge at pc 2 must target the return.
 	ifInst := placed[2]
-	if got := ifInst.PC + int(ifInst.Inst.Off); got != placed[5].PC {
+	if got := ifInst.PC + ifInst.Inst.Off; got != placed[5].PC {
 		t.Errorf("if-ge targets pc %d, want %d", got, placed[5].PC)
 	}
 	// The goto at pc 6 must target the loop head at pc 1.
 	g := placed[4]
-	if got := g.PC + int(g.Inst.Off); got != placed[1].PC {
+	if got := g.PC + g.Inst.Off; got != placed[1].PC {
 		t.Errorf("goto targets pc %d, want %d", got, placed[1].PC)
 	}
 }
@@ -362,9 +363,12 @@ func TestAssemblerSwitch(t *testing.T) {
 	if _, ok := PayloadAt(insns, ppc); !ok {
 		t.Errorf("no payload at pc %d", ppc)
 	}
-	// DecodeAll must skip the payload without error.
-	if _, err := DecodeAll(insns); err != nil {
-		t.Errorf("DecodeAll: %v", err)
+	// A linear walk must skip the payload without error.
+	var w Walker
+	for w.Reset(insns); w.Next(); {
+	}
+	if err := w.Err(); err != nil {
+		t.Errorf("walk: %v", err)
 	}
 }
 
@@ -438,30 +442,15 @@ func TestTrailingLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := DecodeAll(insns)
-	if err != nil {
+	prog := Predecode(insns)
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
+	placed := prog.Insts()
 	last := placed[len(placed)-1]
 	branch := placed[1]
-	if branch.PC+int(branch.Inst.Off) != last.PC {
-		t.Errorf("branch target %d, want %d", branch.PC+int(branch.Inst.Off), last.PC)
-	}
-}
-
-func TestBranchTargets(t *testing.T) {
-	if got := (Inst{Op: OpGoto, Off: 5}).BranchTargets(); len(got) != 1 || got[0] != 5 {
-		t.Errorf("goto targets = %v", got)
-	}
-	if got := (Inst{Op: OpIfEq, Off: -2}).BranchTargets(); len(got) != 1 || got[0] != -2 {
-		t.Errorf("if targets = %v", got)
-	}
-	sw := Inst{Op: OpSparseSwitch, Targets: []int32{3, 9}}
-	if got := sw.BranchTargets(); len(got) != 2 {
-		t.Errorf("switch targets = %v", got)
-	}
-	if got := (Inst{Op: OpNop}).BranchTargets(); got != nil {
-		t.Errorf("nop targets = %v", got)
+	if branch.PC+branch.Inst.Off != last.PC {
+		t.Errorf("branch target %d, want %d", branch.PC+branch.Inst.Off, last.PC)
 	}
 }
 
@@ -580,10 +569,11 @@ func TestAssemblerMultipleSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	placed, err := DecodeAll(insns)
-	if err != nil {
-		t.Fatalf("DecodeAll after multi-switch assembly: %v", err)
+	prog := Predecode(insns)
+	if err := prog.Err(); err != nil {
+		t.Fatalf("decode after multi-switch assembly: %v", err)
 	}
+	placed := prog.Insts()
 	switches := 0
 	for _, p := range placed {
 		if p.Inst.Op.IsSwitch() {

@@ -2,29 +2,62 @@ package bytecode
 
 // Decode decodes the instruction starting at unit index pc of insns and
 // returns it together with its width in units. Switch instructions have
-// their payload tables resolved and inlined into the returned Inst.
+// their payload tables resolved and inlined into the returned Inst, whose
+// operand slices are freshly allocated and owned by the caller.
 func Decode(insns []uint16, pc int) (Inst, int, error) {
+	var in Inst
+	w, err := decodeInto(insns, pc, &in, nil)
+	if err != nil {
+		return Inst{}, 0, err
+	}
+	return in, w, nil
+}
+
+// operandBufs holds reusable backing arrays for the operand slices of a
+// decoded instruction (see Walker).
+type operandBufs struct {
+	args          []int
+	keys, targets []int32
+}
+
+// sized returns s resliced to n elements, allocating a new array when s is
+// nil or too small. Contents are not preserved.
+func sized[T int | int32](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// decodeInto is the one instruction decoder: it overwrites *in with the
+// instruction at pc and returns its width. Operand slices (Args, Keys,
+// Targets) are carved from bufs, which keeps the grown arrays for the next
+// call; a nil bufs allocates fresh ones.
+func decodeInto(insns []uint16, pc int, in *Inst, bufs *operandBufs) (int, error) {
 	if pc < 0 || pc >= len(insns) {
-		return Inst{}, 0, &DecodeError{PC: pc, Reason: "pc out of bounds"}
+		return 0, &DecodeError{PC: pc, Reason: "pc out of bounds"}
 	}
 	unit := insns[pc]
 	op := Opcode(unit & 0xff)
 	hi := int32(unit >> 8)
-	info, ok := opcodeTable[op]
-	if !ok {
-		return Inst{}, 0, &DecodeError{PC: pc, Reason: "unknown opcode " + op.String()}
+	info := opcodeTable[op]
+	if info.name == "" {
+		return 0, &DecodeError{PC: pc, Reason: "unknown opcode " + op.String()}
 	}
 	w := info.format.Width()
 	if pc+w > len(insns) {
-		return Inst{}, 0, &DecodeError{PC: pc, Reason: "truncated instruction"}
+		return 0, &DecodeError{PC: pc, Reason: "truncated instruction"}
 	}
-	in := Inst{Op: op}
+	if bufs == nil {
+		bufs = &operandBufs{}
+	}
+	*in = Inst{Op: op}
 	switch info.format {
 	case Fmt10x:
 		// Reject accidental decodes of payload data: payload idents share
 		// the nop low byte.
 		if op == OpNop && (unit == PackedSwitchPayloadIdent || unit == SparseSwitchPayloadIdent) {
-			return Inst{}, 0, &DecodeError{PC: pc, Reason: "pc points into switch payload"}
+			return 0, &DecodeError{PC: pc, Reason: "pc points into switch payload"}
 		}
 	case Fmt12x:
 		in.A = hi & 0xf
@@ -81,39 +114,40 @@ func Decode(insns []uint16, pc int) (Inst, int, error) {
 	case Fmt31t:
 		in.A = hi
 		in.Off = int32(uint32(insns[pc+1]) | uint32(insns[pc+2])<<16)
-		if err := decodeSwitchPayload(insns, pc, &in); err != nil {
-			return Inst{}, 0, err
+		if err := decodeSwitchPayload(insns, pc, in, bufs); err != nil {
+			return 0, err
 		}
 	case Fmt35c:
 		count := hi >> 4
 		g := int(hi & 0xf)
 		in.Index = uint32(insns[pc+1])
 		regs := insns[pc+2]
-		all := []int{
-			int(regs & 0xf), int(regs >> 4 & 0xf),
-			int(regs >> 8 & 0xf), int(regs >> 12 & 0xf), g,
-		}
 		if count > 5 {
-			return Inst{}, 0, &DecodeError{PC: pc, Reason: "invoke arg count > 5"}
+			return 0, &DecodeError{PC: pc, Reason: "invoke arg count > 5"}
 		}
+		bufs.args = sized(bufs.args, 5)
+		all := bufs.args
+		all[0], all[1], all[2], all[3], all[4] =
+			int(regs&0xf), int(regs>>4&0xf), int(regs>>8&0xf), int(regs>>12&0xf), g
 		in.Args = all[:count]
 		in.A = count
 	case Fmt3rc:
 		count := int(hi)
 		in.Index = uint32(insns[pc+1])
 		start := int(insns[pc+2])
-		in.Args = make([]int, count)
+		bufs.args = sized(bufs.args, count)
+		in.Args = bufs.args
 		for i := range in.Args {
 			in.Args[i] = start + i
 		}
 		in.A = int32(count)
 	default:
-		return Inst{}, 0, &DecodeError{PC: pc, Reason: "unhandled format"}
+		return 0, &DecodeError{PC: pc, Reason: "unhandled format"}
 	}
-	return in, w, nil
+	return w, nil
 }
 
-func decodeSwitchPayload(insns []uint16, pc int, in *Inst) error {
+func decodeSwitchPayload(insns []uint16, pc int, in *Inst, bufs *operandBufs) error {
 	ppc := pc + int(in.Off)
 	if ppc < 0 || ppc+2 > len(insns) {
 		return &DecodeError{PC: pc, Reason: "switch payload offset out of bounds"}
@@ -128,8 +162,8 @@ func decodeSwitchPayload(insns []uint16, pc int, in *Inst) error {
 			return &DecodeError{PC: pc, Reason: "truncated packed-switch payload"}
 		}
 		firstKey := int32(uint32(insns[ppc+2]) | uint32(insns[ppc+3])<<16)
-		in.Keys = make([]int32, size)
-		in.Targets = make([]int32, size)
+		bufs.keys, bufs.targets = sized(bufs.keys, size), sized(bufs.targets, size)
+		in.Keys, in.Targets = bufs.keys, bufs.targets
 		for i := 0; i < size; i++ {
 			in.Keys[i] = firstKey + int32(i)
 			in.Targets[i] = int32(uint32(insns[ppc+4+2*i]) | uint32(insns[ppc+5+2*i])<<16)
@@ -142,8 +176,8 @@ func decodeSwitchPayload(insns []uint16, pc int, in *Inst) error {
 		if ppc+2+4*size > len(insns) {
 			return &DecodeError{PC: pc, Reason: "truncated sparse-switch payload"}
 		}
-		in.Keys = make([]int32, size)
-		in.Targets = make([]int32, size)
+		bufs.keys, bufs.targets = sized(bufs.keys, size), sized(bufs.targets, size)
+		in.Keys, in.Targets = bufs.keys, bufs.targets
 		for i := 0; i < size; i++ {
 			in.Keys[i] = int32(uint32(insns[ppc+2+2*i]) | uint32(insns[ppc+3+2*i])<<16)
 		}
@@ -155,29 +189,65 @@ func decodeSwitchPayload(insns []uint16, pc int, in *Inst) error {
 	return nil
 }
 
-// DecodeAll decodes every reachable-by-linear-scan instruction of a method
-// body, skipping switch payload regions, and returns the instructions keyed
-// by their dex_pc in ascending order.
-func DecodeAll(insns []uint16) ([]Placed, error) {
-	var out []Placed
-	pc := 0
-	for pc < len(insns) {
-		if w, ok := PayloadAt(insns, pc); ok {
-			pc += w
-			continue
-		}
-		in, w, err := Decode(insns, pc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Placed{PC: pc, Inst: in})
-		pc += w
-	}
-	return out, nil
+// Walker decodes a method body front to back, skipping switch payload
+// regions, without allocating once its operand buffers have grown to the
+// body's largest invoke and switch. The zero value walks an empty body.
+//
+//	var w Walker
+//	w.Reset(insns)
+//	for w.Next() {
+//		use(w.PC(), w.Inst())
+//	}
+//	if err := w.Err(); err != nil { ... }
+type Walker struct {
+	insns []uint16
+	pc    int // start of the current instruction
+	next  int // start of the unit after it
+	width int
+	in    Inst
+	bufs  operandBufs
+	err   error
 }
 
-// Placed is an instruction together with the dex_pc it was decoded from.
-type Placed struct {
-	PC   int
-	Inst Inst
+// Reset starts a walk over insns, keeping the grown operand buffers.
+func (w *Walker) Reset(insns []uint16) {
+	w.insns, w.pc, w.next, w.width, w.err = insns, 0, 0, 0, nil
 }
+
+// Next advances to the next instruction and reports whether there is one.
+// It returns false at the end of the body and at the first instruction
+// that does not decode (see Err).
+func (w *Walker) Next() bool {
+	if w.err != nil {
+		return false
+	}
+	for w.next < len(w.insns) {
+		if pw, ok := PayloadAt(w.insns, w.next); ok {
+			w.next += pw
+			continue
+		}
+		width, err := decodeInto(w.insns, w.next, &w.in, &w.bufs)
+		if err != nil {
+			w.err = err
+			return false
+		}
+		w.pc, w.width = w.next, width
+		w.next += width
+		return true
+	}
+	return false
+}
+
+// PC returns the dex_pc of the current instruction.
+func (w *Walker) PC() int { return w.pc }
+
+// Width returns the width in units of the current instruction.
+func (w *Walker) Width() int { return w.width }
+
+// Inst returns the current instruction. It and its operand slices are
+// owned by the walker and valid only until the next call to Next; Clone to
+// keep them.
+func (w *Walker) Inst() *Inst { return &w.in }
+
+// Err returns the decode error that ended the walk, or nil.
+func (w *Walker) Err() error { return w.err }

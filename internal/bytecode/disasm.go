@@ -10,8 +10,8 @@ import (
 type Resolver func(kind IndexKind, idx uint32) string
 
 func disasmInst(in Inst, r Resolver) string {
-	info, ok := opcodeTable[in.Op]
-	if !ok {
+	info := opcodeTable[in.Op]
+	if info.name == "" {
 		return fmt.Sprintf(".unknown 0x%02x", uint8(in.Op))
 	}
 	name := info.name
@@ -19,7 +19,7 @@ func disasmInst(in Inst, r Resolver) string {
 		if r != nil {
 			return r(info.index, in.Index)
 		}
-		kinds := map[IndexKind]string{
+		kinds := [...]string{
 			IndexString: "string", IndexType: "type",
 			IndexField: "field", IndexMethod: "method",
 		}
@@ -72,13 +72,14 @@ func disasmInst(in Inst, r Resolver) string {
 // Disassemble renders a method body as smali-style lines, one per
 // instruction, prefixed with its dex_pc. Switch payload regions are skipped.
 func Disassemble(insns []uint16, r Resolver) ([]string, error) {
-	placed, err := DecodeAll(insns)
-	if err != nil {
-		return nil, err
+	var lines []string
+	var w Walker
+	w.Reset(insns)
+	for w.Next() {
+		lines = append(lines, fmt.Sprintf("%04x: %s", w.PC(), disasmInst(*w.Inst(), r)))
 	}
-	lines := make([]string, len(placed))
-	for i, p := range placed {
-		lines[i] = fmt.Sprintf("%04x: %s", p.PC, disasmInst(p.Inst, r))
+	if err := w.Err(); err != nil {
+		return nil, err
 	}
 	return lines, nil
 }

@@ -25,8 +25,8 @@ func fitsS(v int64, bits int) bool {
 // must already be resolved in units relative to the instruction address.
 // Switch payloads are not emitted here; see EncodePayload.
 func Encode(in Inst) ([]uint16, error) {
-	info, ok := opcodeTable[in.Op]
-	if !ok {
+	info := opcodeTable[in.Op]
+	if info.name == "" {
 		return nil, encErr(in.Op, "unknown opcode")
 	}
 	op := uint16(in.Op)

@@ -1,6 +1,9 @@
 package bytecode
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // unitsOf reassembles a []uint16 code stream from fuzzed bytes
 // (little-endian pairs, trailing odd byte dropped).
@@ -12,28 +15,30 @@ func unitsOf(data []byte) []uint16 {
 	return units
 }
 
+// decodeSeeds is the seed corpus of FuzzDecode and FuzzWalk.
+var decodeSeeds = [][]byte{
+	{0x12, 0x01},                         // const/4 v1, 1
+	{0x13, 0x00, 0x2a, 0x00},             // const/16 v0, 42
+	{0x0e, 0x00},                         // return-void
+	{0x90, 0x02, 0x00, 0x01},             // add-int v2, v0, v1
+	{0x28, 0xff},                         // goto -1
+	{0x38, 0x00, 0x03, 0x00},             // if-eqz v0, +3
+	{0x1a, 0x00, 0x07, 0x00},             // const-string v0, @7
+	{0x6e, 0x20, 0x05, 0x00, 0x10, 0x00}, // invoke-virtual {v0, v1}
+	{0x2b, 0x00, 0x03, 0x00, 0x00, 0x00, // packed-switch v0, +3
+		0x00, 0x01, 0x01, 0x00, 0x05, 0x00, 0x00, 0x00, // payload: 1 case
+		0x0a, 0x00, 0x00, 0x00},
+	{0x00, 0x00}, // nop
+	{0xff, 0xff}, // unused opcode
+}
+
 // FuzzDecode drives arbitrary code units through Decode: decoding must
 // never panic, a successful decode must report a sane width, and
 // re-encoding the decoded instruction must round-trip back to an equal
 // instruction — the reassembler depends on exactly this property when it
 // re-emits collected instructions into the revealed DEX.
 func FuzzDecode(f *testing.F) {
-	seeds := [][]byte{
-		{0x12, 0x01},                                     // const/4 v1, 1
-		{0x13, 0x00, 0x2a, 0x00},                         // const/16 v0, 42
-		{0x0e, 0x00},                                     // return-void
-		{0x90, 0x02, 0x00, 0x01},                         // add-int v2, v0, v1
-		{0x28, 0xff},                                     // goto -1
-		{0x38, 0x00, 0x03, 0x00},                         // if-eqz v0, +3
-		{0x1a, 0x00, 0x07, 0x00},                         // const-string v0, @7
-		{0x6e, 0x20, 0x05, 0x00, 0x10, 0x00},             // invoke-virtual {v0, v1}
-		{0x2b, 0x00, 0x03, 0x00, 0x00, 0x00,              // packed-switch v0, +3
-			0x00, 0x01, 0x01, 0x00, 0x05, 0x00, 0x00, 0x00, // payload: 1 case
-			0x0a, 0x00, 0x00, 0x00},
-		{0x00, 0x00}, // nop
-		{0xff, 0xff}, // unused opcode
-	}
-	for _, s := range seeds {
+	for _, s := range decodeSeeds {
 		f.Add(s, uint16(0))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, pcRaw uint16) {
@@ -88,5 +93,72 @@ func FuzzDecode(f *testing.F) {
 		if !back.Equal(in) {
 			t.Fatalf("round trip mismatch:\n  decoded   %v\n  re-decoded %v", in, back)
 		}
+	})
+}
+
+// walkRef is the reference linear scan the Walker must reproduce: Decode at
+// every instruction start, switch payload regions skipped.
+func walkRef(insns []uint16) (pcs, widths []int, insts []Inst, err error) {
+	for pc := 0; pc < len(insns); {
+		if w, ok := PayloadAt(insns, pc); ok {
+			pc += w
+			continue
+		}
+		in, w, derr := Decode(insns, pc)
+		if derr != nil {
+			return pcs, widths, insts, derr
+		}
+		pcs, widths, insts = append(pcs, pc), append(widths, w), append(insts, in)
+		pc += w
+	}
+	return pcs, widths, insts, nil
+}
+
+// checkWalk requires w, walking insns, to visit exactly the instructions of
+// the reference scan and to end with the same error.
+func checkWalk(t *testing.T, w *Walker, insns []uint16) {
+	t.Helper()
+	pcs, widths, insts, err := walkRef(insns)
+	i := 0
+	for w.Reset(insns); w.Next(); i++ {
+		if i >= len(pcs) {
+			t.Fatalf("walker visits pc %d past the reference scan's %d instructions", w.PC(), len(pcs))
+		}
+		if w.PC() != pcs[i] || w.Width() != widths[i] || !w.Inst().Equal(insts[i]) {
+			t.Fatalf("instruction %d: walker pc %d width %d %v, Decode pc %d width %d %v",
+				i, w.PC(), w.Width(), *w.Inst(), pcs[i], widths[i], insts[i])
+		}
+	}
+	if i != len(pcs) {
+		t.Fatalf("walker visited %d instructions, Decode scan %d", i, len(pcs))
+	}
+	if fmt.Sprint(w.Err()) != fmt.Sprint(err) {
+		t.Fatalf("walker error %v, Decode error %v", w.Err(), err)
+	}
+}
+
+// TestWalkerMatchesDecode walks every suffix of every seed, so each pc of
+// the corpus is a walk start once: the walker and Decode must agree on
+// instruction, width and error throughout. One walker serves all walks, so
+// operand buffers left by an earlier body must never leak into a later one.
+func TestWalkerMatchesDecode(t *testing.T) {
+	var w Walker
+	for _, seed := range decodeSeeds {
+		insns := unitsOf(seed)
+		for start := range insns {
+			checkWalk(t, &w, insns[start:])
+		}
+	}
+}
+
+// FuzzWalk checks the walker against the reference Decode scan on
+// arbitrary unit arrays.
+func FuzzWalk(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add(s)
+	}
+	var w Walker
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkWalk(t, &w, unitsOf(data))
 	})
 }

@@ -42,7 +42,8 @@ func MaxRegister(in Inst) int32 {
 // and runtimes, so consumers must Clone before mutating.
 type DecodedInst struct {
 	Inst
-	Width  int
+	PC     int32 // dex_pc of the instruction
+	Width  int32
 	MaxReg int32
 	// IC is the compact inline-cache slot for instructions that carry a
 	// constant-pool reference (invoke/field/type formats), -1 otherwise.
@@ -61,21 +62,25 @@ func carriesPoolRef(f Format) bool {
 	return false
 }
 
-// Program is the predecoded form of one unit array: a dense instruction
-// stream plus a pc→instruction index. It is immutable after Predecode and
-// holds its own copy of the units, so it stays valid (as a snapshot) even
-// when the live array it was lowered from is modified in place.
+// Program is the predecoded form of one unit array, and the one decoded
+// form static consumers keep: a dense instruction stream plus a
+// pc→instruction index. It is immutable after Predecode and holds its own
+// copy of the units, so it stays valid (as a snapshot) even when the live
+// array it was lowered from is modified in place. Consumers that only need
+// one pass over a body use a Walker instead.
 type Program struct {
 	units []uint16
 	idx   []int32 // pc -> index into code, offset by +1; 0 = no instruction
 	code  []DecodedInst
-	sites int // number of IC slots handed out (see DecodedInst.IC)
+	sites int   // number of IC slots handed out (see DecodedInst.IC)
+	err   error // first decode error; the stream ends before it
 }
 
 // Predecode lowers a unit array into a Program with one linear scan,
 // skipping switch payload regions. Decoding stops at the first malformed
-// instruction: the tail past it stays unmapped, so an interpreter falling
-// back to live Decode there surfaces the identical decode error.
+// instruction, recorded as Err: the tail past it stays unmapped, so an
+// interpreter falling back to live Decode there surfaces the identical
+// decode error.
 func Predecode(insns []uint16) *Program {
 	p := &Program{
 		units: append([]uint16(nil), insns...),
@@ -89,6 +94,7 @@ func Predecode(insns []uint16) *Program {
 		}
 		in, width, err := Decode(insns, pc)
 		if err != nil {
+			p.err = err
 			break
 		}
 		ic := int32(-1)
@@ -96,7 +102,7 @@ func Predecode(insns []uint16) *Program {
 			ic = int32(p.sites)
 			p.sites++
 		}
-		p.code = append(p.code, DecodedInst{Inst: in, Width: width, MaxReg: MaxRegister(in), IC: ic})
+		p.code = append(p.code, DecodedInst{Inst: in, PC: int32(pc), Width: int32(width), MaxReg: MaxRegister(in), IC: ic})
 		p.idx[pc] = int32(len(p.code))
 		pc += width
 	}
@@ -116,6 +122,14 @@ func (p *Program) Lookup(pc int) (*DecodedInst, int) {
 	}
 	return &p.code[i-1], int(i - 1)
 }
+
+// Insts returns the predecoded instructions in dex_pc order. The slice is
+// shared and must not be modified.
+func (p *Program) Insts() []DecodedInst { return p.code }
+
+// Err returns the decode error that ended the stream early, or nil when
+// the whole unit array decoded.
+func (p *Program) Err() error { return p.err }
 
 // NumInsts returns the number of predecoded instructions.
 func (p *Program) NumInsts() int { return len(p.code) }

@@ -1,6 +1,7 @@
 package bytecode
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -59,6 +60,7 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 	}
 	covered := make(map[int]bool)
 	n := 0
+	var decodeErr error
 	for pc := 0; pc < len(insns); {
 		if w, ok := PayloadAt(insns, pc); ok {
 			pc += w
@@ -66,6 +68,7 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 		}
 		in, width, err := Decode(insns, pc)
 		if err != nil {
+			decodeErr = err
 			break // predecode must leave this pc and everything after unmapped
 		}
 		d, ci := p.Lookup(pc)
@@ -75,7 +78,10 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 		if ci != n {
 			t.Fatalf("pc %d: instruction index %d, want %d", pc, ci, n)
 		}
-		if d.Width != width {
+		if int(d.PC) != pc {
+			t.Fatalf("pc %d: predecoded PC %d", pc, d.PC)
+		}
+		if int(d.Width) != width {
 			t.Fatalf("pc %d: predecoded width %d, want %d", pc, d.Width, width)
 		}
 		if !d.Inst.Equal(in) {
@@ -94,6 +100,12 @@ func checkPredecodeAgainstDecode(t *testing.T, insns []uint16) {
 		covered[pc] = true
 		n++
 		pc += width
+	}
+	if len(p.Insts()) != n {
+		t.Fatalf("Insts() has %d instructions, want %d", len(p.Insts()), n)
+	}
+	if fmt.Sprint(p.Err()) != fmt.Sprint(decodeErr) {
+		t.Fatalf("Program.Err() = %v, want %v", p.Err(), decodeErr)
 	}
 	if p.NumInsts() != n {
 		t.Fatalf("predecoded %d instructions, linear decode walk found %d", p.NumInsts(), n)

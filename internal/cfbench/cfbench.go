@@ -10,6 +10,7 @@ package cfbench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -149,21 +150,26 @@ func Run(cfg Config) (Comparison, error) {
 	return Comparison{Unmodified: base, DexLego: lego}, nil
 }
 
-// LaunchSample is a mean/std launch-time measurement. Mean is an
-// upper-trimmed mean: the slowest quarter of runs is dropped before
-// averaging. Launch times have a hard floor (the interpreter's work) but no
-// ceiling — a run that loses the CPU to the scheduler or a GC cycle only
-// ever reads high — so high outliers are host artifacts, not interpreter
-// cost, and a plain mean lets a single preempted run skew the
-// instrumented/original ratio by several x. Std still covers all runs, as a
-// dispersion report.
+// LaunchSample is a mean/std launch-time measurement. A launch runs on one
+// locked OS thread and is timed by that thread's CPU clock, not by the wall
+// clock: other processes loading the host take the CPU away from a launch
+// but add nothing to its CPU time, so the instrumented/original ratio holds
+// beside them. The process CPU clock would also bill the GC's background
+// and idle mark workers, which run on other threads whenever a cycle is in
+// flight, to whichever launch is running. Mean is an upper-trimmed mean:
+// the slowest quarter of runs is dropped before averaging. Launch times
+// have a hard floor (the interpreter's work) but no ceiling, so high
+// outliers are host artifacts, not interpreter cost, and a plain mean lets
+// a single such run skew the instrumented/original ratio by several x. Std
+// still covers all runs, as a dispersion report.
 type LaunchSample struct {
 	Mean time.Duration
 	Std  time.Duration
 }
 
 // MeasureLaunch times LaunchActivity over the given number of runs, with
-// and without DexLego collection, on a fresh runtime per run (cold start).
+// and without DexLego collection, on a fresh runtime per run (cold start),
+// in thread CPU time (see LaunchSample).
 func MeasureLaunch(pkg *apk.APK, runs int, withCollector bool) (LaunchSample, error) {
 	if runs < 1 {
 		return LaunchSample{}, fmt.Errorf("cfbench: runs must be positive")
@@ -180,15 +186,18 @@ func MeasureLaunch(pkg *apk.APK, runs int, withCollector bool) (LaunchSample, er
 			col := collector.New()
 			rt.AddHooks(col.Hooks())
 		}
-		start := time.Now()
-		if err := rt.LoadAPK(pkg); err != nil {
-			return LaunchSample{}, err
-		}
-		if _, err := rt.LaunchActivity(); err != nil {
+		cpu, err := threadCPUOf(func() error {
+			if err := rt.LoadAPK(pkg); err != nil {
+				return err
+			}
+			_, err := rt.LaunchActivity()
+			return err
+		})
+		if err != nil {
 			return LaunchSample{}, err
 		}
 		if i >= 0 {
-			durations = append(durations, float64(time.Since(start).Nanoseconds()))
+			durations = append(durations, float64(cpu))
 		}
 	}
 	var sum float64
@@ -211,4 +220,23 @@ func MeasureLaunch(pkg *apk.APK, runs int, withCollector bool) (LaunchSample, er
 		Mean: time.Duration(sum / float64(len(kept))),
 		Std:  time.Duration(std),
 	}, nil
+}
+
+// threadCPUOf runs f on a locked OS thread and returns the CPU time that
+// thread spent in it.
+func threadCPUOf(f func() error) (time.Duration, error) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	start, err := threadCPU()
+	if err != nil {
+		return 0, err
+	}
+	if err := f(); err != nil {
+		return 0, err
+	}
+	end, err := threadCPU()
+	if err != nil {
+		return 0, err
+	}
+	return end - start, nil
 }

@@ -665,6 +665,11 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, inp *byte
 			return
 		}
 	}
+	if cur.Parent == nil && cap(cur.IL) == 0 {
+		// A fresh root: size its IL from the method once instead of
+		// regrowing it as it fills (instructions average about two units).
+		cur.IL = make([]Entry, 0, len(insns)/2+1)
+	}
 	cur.push(Entry{DexPC: pc, Inst: in, Sym: resolveSym(m, in)})
 }
 

@@ -162,6 +162,7 @@ func NewTracker(files []*dex.File) (*Tracker, error) {
 	s.classes = len(classIdx)
 	s.off = make([]int, len(s.keys)+1)
 	s.class = make([]int, len(s.keys))
+	var w bytecode.Walker
 	for i, key := range s.keys {
 		m := methods[key]
 		words := (m.units + 63) / 64
@@ -171,15 +172,14 @@ func NewTracker(files []*dex.File) (*Tracker, error) {
 		s.branches = append(s.branches, make(bitset, words)...)
 		base := 64 * s.off[i]
 		for _, code := range m.codes {
-			placed, err := bytecode.DecodeAll(code)
-			if err != nil {
-				return nil, fmt.Errorf("coverage: %s: %w", key, err)
-			}
-			for _, p := range placed {
-				s.insns.set(base + p.PC)
-				if p.Inst.Op.IsBranch() {
-					s.branches.set(base + p.PC)
+			for w.Reset(code); w.Next(); {
+				s.insns.set(base + w.PC())
+				if w.Inst().Op.IsBranch() {
+					s.branches.set(base + w.PC())
 				}
+			}
+			if err := w.Err(); err != nil {
+				return nil, fmt.Errorf("coverage: %s: %w", key, err)
 			}
 		}
 	}

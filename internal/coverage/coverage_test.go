@@ -269,15 +269,16 @@ func TestDuplicateMethodKeys(t *testing.T) {
 	})
 	insns, lines, branches := map[int]bool{}, map[int]bool{}, map[int]bool{}
 	for _, f := range []*dex.File{short, long} {
-		placed, err := bytecode.DecodeAll(f.Classes[0].DirectMeths[0].Code.Insns)
-		if err != nil {
+		prog := bytecode.Predecode(f.Classes[0].DirectMeths[0].Code.Insns)
+		if err := prog.Err(); err != nil {
 			t.Fatal(err)
 		}
+		placed := prog.Insts()
 		for _, p := range placed {
-			insns[p.PC] = true
-			lines[p.PC/4] = true
+			insns[int(p.PC)] = true
+			lines[int(p.PC)/4] = true
 			if p.Inst.Op.IsBranch() {
-				branches[p.PC] = true
+				branches[int(p.PC)] = true
 			}
 		}
 	}

@@ -649,13 +649,18 @@ func remapCode(f *File, workers int, stringMap, typeMap, fieldMap, methodMap []u
 			}
 			return nil
 		}
-		placed, err := bytecode.DecodeAll(code.Insns)
-		if err != nil {
+		// An undecodable body fails as a whole, before any operand is
+		// patched: one walk to check, one to patch.
+		var w bytecode.Walker
+		for w.Reset(code.Insns); w.Next(); {
+		}
+		if err := w.Err(); err != nil {
 			return fmt.Errorf("dex: remap %s: %w", f.MethodAt(method).Key(), err)
 		}
-		for _, p := range placed {
+		for w.Reset(code.Insns); w.Next(); {
+			in := *w.Inst()
 			var m []uint32
-			switch p.Inst.Op.Index() {
+			switch in.Op.Index() {
 			case bytecode.IndexString:
 				m = stringMap
 			case bytecode.IndexType:
@@ -670,17 +675,18 @@ func remapCode(f *File, workers int, stringMap, typeMap, fieldMap, methodMap []u
 			if m == nil {
 				continue // identity permutation: operand already final
 			}
-			if int(p.Inst.Index) >= len(m) {
+			if int(in.Index) >= len(m) {
 				return fmt.Errorf("dex: remap: index %d out of range at pc %d",
-					p.Inst.Index, p.PC)
+					in.Index, w.PC())
 			}
-			in := p.Inst
-			in.Index = m[p.Inst.Index]
+			// Re-encoding keeps the width, so patching the instruction in
+			// place never moves what the walker decodes next.
+			in.Index = m[in.Index]
 			units, err := bytecode.Encode(in)
 			if err != nil {
 				return fmt.Errorf("dex: remap re-encode: %w", err)
 			}
-			copy(code.Insns[p.PC:], units)
+			copy(code.Insns[w.PC():], units)
 		}
 		return nil
 	})

@@ -174,10 +174,11 @@ func TestBytecodeIndicesRemapped(t *testing.T) {
 	if em == nil {
 		t.Fatal("advancedLeak not found")
 	}
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
+	placed := prog.Insts()
 	var calls []string
 	for _, p := range placed {
 		if p.Inst.Op.IsInvoke() {

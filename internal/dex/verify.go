@@ -63,97 +63,134 @@ func Verify(f *File) []error {
 		}
 	}
 
-	for ci := range f.Classes {
-		cd := &f.Classes[ci]
-		for _, list := range [][]EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
-			for mi := range list {
-				em := &list[mi]
-				if em.Code == nil {
-					continue
-				}
-				where := f.MethodAt(em.Method).Key()
-				verifyCode(f, where, em.Code, report)
-			}
-		}
-	}
+	v := codeVerifier{f: f, report: report, limits: [...]int{
+		bytecode.IndexString: len(f.Strings),
+		bytecode.IndexType:   len(f.Types),
+		bytecode.IndexField:  len(f.Fields),
+		bytecode.IndexMethod: len(f.Methods),
+	}}
+	maxUnits := 0
+	v.eachCode(func(em *EncodedMethod) { maxUnits = max(maxUnits, len(em.Code.Insns)) })
+	v.starts = make([]uint64, (maxUnits+63)/64)
+	v.eachCode(v.verify)
 	return errs
 }
 
-func verifyCode(f *File, where string, code *Code, report func(where, format string, args ...any)) {
-	placed, err := bytecode.DecodeAll(code.Insns)
-	if err != nil {
-		report(where, "undecodable body: %v", err)
+// eachCode calls fn for every method with code, in class order.
+func (v *codeVerifier) eachCode(fn func(em *EncodedMethod)) {
+	for ci := range v.f.Classes {
+		cd := &v.f.Classes[ci]
+		for _, list := range [2][]EncodedMethod{cd.DirectMeths, cd.VirtualMeths} {
+			for mi := range list {
+				if em := &list[mi]; em.Code != nil {
+					fn(em)
+				}
+			}
+		}
+	}
+}
+
+// codeVerifier checks method bodies. Its walker and instruction-start
+// bitset (sized once for the largest body) are reused from one body to the
+// next, so the number of allocations of a verify does not grow with the
+// size of the code.
+type codeVerifier struct {
+	f      *File
+	report func(where, format string, args ...any)
+	limits [bytecode.IndexMethod + 1]int // pool size per index kind
+	w      bytecode.Walker
+	starts []uint64 // bit pc set when an instruction starts at pc
+	em     *EncodedMethod
+	where  string // em's key, computed on its first defect
+}
+
+func (v *codeVerifier) fail(format string, args ...any) {
+	if v.where == "" {
+		v.where = v.f.MethodAt(v.em.Method).Key()
+	}
+	v.report(v.where, format, args...)
+}
+
+// isStart reports whether an instruction starts at pc.
+func (v *codeVerifier) isStart(pc int) bool {
+	return pc >= 0 && pc < 64*len(v.starts) && v.starts[pc/64]&(1<<(pc%64)) != 0
+}
+
+func (v *codeVerifier) verify(em *EncodedMethod) {
+	v.em, v.where = em, ""
+	code := em.Code
+	insns := code.Insns
+
+	// First walk: instruction starts, and the last op that is not a nop
+	// (trailing alignment nops before switch payloads are unreachable
+	// padding; a body of nops reports nop).
+	v.starts = v.starts[:(len(insns)+63)/64]
+	clear(v.starts)
+	n, last := 0, bytecode.OpNop
+	for v.w.Reset(insns); v.w.Next(); n++ {
+		pc := v.w.PC()
+		v.starts[pc/64] |= 1 << (pc % 64)
+		if op := v.w.Inst().Op; op != bytecode.OpNop {
+			last = op
+		}
+	}
+	if err := v.w.Err(); err != nil {
+		v.fail("undecodable body: %v", err)
 		return
 	}
-	if len(placed) == 0 {
-		report(where, "empty instruction array")
+	if n == 0 {
+		v.fail("empty instruction array")
 		return
-	}
-	starts := make(map[int]bool, len(placed))
-	for _, p := range placed {
-		starts[p.PC] = true
 	}
 	if int(code.InsSize) > int(code.RegistersSize) {
-		report(where, "ins %d exceed registers %d", code.InsSize, code.RegistersSize)
+		v.fail("ins %d exceed registers %d", code.InsSize, code.RegistersSize)
 	}
-	// The last reachable instruction must not fall off the end. Trailing
-	// alignment nops before switch payloads are unreachable padding and are
-	// exempt.
-	lastIdx := len(placed) - 1
-	for lastIdx > 0 && placed[lastIdx].Inst.Op == bytecode.OpNop {
-		lastIdx--
+	if !last.IsTerminator() && !last.IsSwitch() && !last.IsBranch() {
+		v.fail("control can fall off the end (last op %s)", last)
 	}
-	if last := placed[lastIdx]; !last.Inst.Op.IsTerminator() &&
-		!last.Inst.Op.IsSwitch() && !last.Inst.Op.IsBranch() {
-		report(where, "control can fall off the end (last op %s)", last.Inst.Op)
-	}
-	for _, p := range placed {
-		maxReg := int32(-1)
-		bytecode.MapRegisters(p.Inst, func(r int32) int32 {
-			if r > maxReg {
-				maxReg = r
-			}
-			return r
-		})
-		if maxReg >= int32(code.RegistersSize) {
-			report(where, "pc %#x: register v%d exceeds registers_size %d",
-				p.PC, maxReg, code.RegistersSize)
+
+	// Second walk: per-instruction checks.
+	for v.w.Reset(insns); v.w.Next(); {
+		pc, in := v.w.PC(), v.w.Inst()
+		if maxReg := bytecode.MaxRegister(*in); maxReg >= int32(code.RegistersSize) {
+			v.fail("pc %#x: register v%d exceeds registers_size %d",
+				pc, maxReg, code.RegistersSize)
 		}
-		for _, off := range p.Inst.BranchTargets() {
-			target := p.PC + int(off)
-			if !starts[target] {
-				report(where, "pc %#x: %s targets %#x, not an instruction start",
-					p.PC, p.Inst.Op, target)
+		switch {
+		case in.Op.IsGoto(), in.Op.IsBranch():
+			v.checkTarget(pc, in.Op, in.Off)
+		case in.Op.IsSwitch():
+			for _, off := range in.Targets {
+				v.checkTarget(pc, in.Op, off)
 			}
 		}
-		if kind := p.Inst.Op.Index(); kind != bytecode.IndexNone {
-			limit := map[bytecode.IndexKind]int{
-				bytecode.IndexString: len(f.Strings),
-				bytecode.IndexType:   len(f.Types),
-				bytecode.IndexField:  len(f.Fields),
-				bytecode.IndexMethod: len(f.Methods),
-			}[kind]
-			if int(p.Inst.Index) >= limit {
-				report(where, "pc %#x: %s index %d out of range",
-					p.PC, p.Inst.Op, p.Inst.Index)
-			}
+		if kind := in.Op.Index(); kind != bytecode.IndexNone && int(in.Index) >= v.limits[kind] {
+			v.fail("pc %#x: %s index %d out of range", pc, in.Op, in.Index)
 		}
 	}
 	for ti, tr := range code.Tries {
-		if int(tr.Start)+int(tr.Count) > len(code.Insns) {
-			report(where, "try %d: range [%d,%d) exceeds body %d",
-				ti, tr.Start, tr.Start+tr.Count, len(code.Insns))
+		if int(tr.Start)+int(tr.Count) > len(insns) {
+			v.fail("try %d: range [%d,%d) exceeds body %d",
+				ti, tr.Start, tr.Start+tr.Count, len(insns))
 		}
 		for _, h := range tr.Handlers {
-			if !starts[int(h.Addr)] {
-				report(where, "try %d: handler %#x not an instruction start", ti, h.Addr)
+			if !v.isStart(int(h.Addr)) {
+				v.fail("try %d: handler %#x not an instruction start", ti, h.Addr)
 			}
-			if int(h.Type) >= len(f.Types) {
-				report(where, "try %d: handler type %d out of range", ti, h.Type)
+			if int(h.Type) >= len(v.f.Types) {
+				v.fail("try %d: handler type %d out of range", ti, h.Type)
 			}
 		}
-		if tr.CatchAll >= 0 && !starts[int(tr.CatchAll)] {
-			report(where, "try %d: catch-all %#x not an instruction start", ti, tr.CatchAll)
+		if tr.CatchAll >= 0 && !v.isStart(int(tr.CatchAll)) {
+			v.fail("try %d: catch-all %#x not an instruction start", ti, tr.CatchAll)
 		}
+	}
+}
+
+// checkTarget reports a branch from pc by off that does not land on an
+// instruction start.
+func (v *codeVerifier) checkTarget(pc int, op bytecode.Opcode, off int32) {
+	if target := pc + int(off); !v.isStart(target) {
+		v.fail("pc %#x: %s targets %#x, not an instruction start", pc, op, target)
 	}
 }

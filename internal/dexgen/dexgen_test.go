@@ -104,10 +104,11 @@ func TestInvokeRangePromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	em := f.FindMethod("Lr/C;", "go6", "()I")
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
+	placed := prog.Insts()
 	sawRange := false
 	for _, pl := range placed {
 		if pl.Inst.Op == bytecode.OpInvokeStaticR {

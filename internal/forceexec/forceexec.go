@@ -492,23 +492,19 @@ func (e *Engine) pathTo(method string, targetPC int) (map[int]bool, bool) {
 // buildPaths BFS-walks the static CFG from the method entry, recording the
 // shortest decision chain to every reachable pc.
 func buildPaths(code *dex.Code) *methodPaths {
-	placed, err := bytecode.DecodeAll(code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(code.Insns)
+	if prog.Err() != nil {
 		return nil
-	}
-	idxOf := make(map[int]int, len(placed))
-	for i, p := range placed {
-		idxOf[p.PC] = i
 	}
 	visited := map[int]int{0: 0}
 	order := []pathStep{{pc: 0, branchPC: -1, prev: -1}}
 	for qi := 0; qi < len(order); qi++ {
 		cur := order[qi]
-		ci, ok := idxOf[cur.pc]
-		if !ok {
+		d, _ := prog.Lookup(cur.pc)
+		if d == nil {
 			continue
 		}
-		in := placed[ci].Inst
+		in := &d.Inst
 		push := func(pc int, branchPC int, taken bool) {
 			if _, seen := visited[pc]; seen {
 				return

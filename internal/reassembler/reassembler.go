@@ -498,7 +498,7 @@ type flattener struct {
 	grow      bool
 	oldLocals int32
 	scratch   int32
-	rootBase  bytecode.LabelID                       // label block of the root node
+	rootBase  bytecode.LabelID                         // label block of the root node
 	nodeBase  map[*collector.TreeNode]bytecode.LabelID // non-root blocks; nil until a child exists
 	unexec    bool
 	unexecID  bytecode.LabelID // -1 until the first unexecuted target
@@ -561,6 +561,7 @@ func (fl *flattener) resolve(n *collector.TreeNode, pc int) bytecode.LabelID {
 func (fl *flattener) emit(a *dexgen.Asm) {
 	fl.a = a
 	fl.asm = a.Raw()
+	fl.asm.Reserve(fl.tree.Size())
 	fl.assignBases(fl.tree)
 	fl.emitNode(fl.tree)
 	if fl.unexec {

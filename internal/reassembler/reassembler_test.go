@@ -205,10 +205,11 @@ func TestSelfModifyingReassembly(t *testing.T) {
 	if em == nil {
 		t.Fatal("revealed advancedLeak missing")
 	}
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
+	placed := prog.Insts()
 	var calls []string
 	usesInstrument := false
 	for _, p := range placed {
@@ -263,10 +264,11 @@ func TestDeadCodeElimination(t *testing.T) {
 		if em == nil {
 			t.Fatalf("revealed %s missing", name)
 		}
-		placed, err := bytecode.DecodeAll(em.Code.Insns)
-		if err != nil {
+		prog := bytecode.Predecode(em.Code.Insns)
+		if err := prog.Err(); err != nil {
 			t.Fatal(err)
 		}
+		placed := prog.Insts()
 		for _, pl := range placed {
 			if pl.Inst.Op.IsInvoke() &&
 				f.MethodAt(pl.Inst.Index).Class == "Landroid/util/Log;" {
@@ -327,10 +329,11 @@ func TestReflectionRewriting(t *testing.T) {
 		if em.Code == nil {
 			continue
 		}
-		placed, err := bytecode.DecodeAll(em.Code.Insns)
-		if err != nil {
+		prog := bytecode.Predecode(em.Code.Insns)
+		if err := prog.Err(); err != nil {
 			t.Fatal(err)
 		}
+		placed := prog.Insts()
 		for _, pl := range placed {
 			if pl.Inst.Op.IsInvoke() && f.MethodAt(pl.Inst.Index).Name == "secretSource" {
 				foundDirect = true
@@ -492,10 +495,11 @@ func TestCollectionFilesRoundTrip(t *testing.T) {
 	if em == nil {
 		t.Fatal("advancedLeak missing after file round trip")
 	}
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
+	placed := prog.Insts()
 	names := map[string]bool{}
 	for _, pl := range placed {
 		if pl.Inst.Op.IsInvoke() {

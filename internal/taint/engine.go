@@ -136,13 +136,10 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 	// in malformed bodies (the analyzer must never crash on hostile input),
 	// plus an extra slot for the invoke result.
 	maxReg := m.regs
-	for _, pl := range m.code {
-		bytecode.MapRegisters(pl.Inst, func(r int32) int32 {
-			if int(r) >= maxReg {
-				maxReg = int(r) + 1
-			}
-			return r
-		})
+	for i := range m.code {
+		if r := int(m.code[i].MaxReg); r >= maxReg {
+			maxReg = r + 1
+		}
 	}
 	nRegs := maxReg + 1
 	resultSlot := maxReg
@@ -192,16 +189,17 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 		ci := work[len(work)-1]
 		work = work[:len(work)-1]
 		regs := append([]fact(nil), inFacts[ci]...)
-		pl := m.code[ci]
+		pl := &m.code[ci]
 		in := pl.Inst
+		pc := int(pl.PC)
 
 		succNext := func() {
-			if next, ok := m.pcIdx[pl.PC+in.Width()]; ok {
+			if next, ok := m.at(pc + int(pl.Width)); ok {
 				push(next, regs)
 			}
 		}
 		succAt := func(targetPC int) {
-			if t, ok := m.pcIdx[targetPC]; ok {
+			if t, ok := m.at(targetPC); ok {
 				push(t, regs)
 			}
 		}
@@ -209,7 +207,7 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 		// handlers with the current facts (move-exception zeroes the
 		// exception register itself).
 		for _, tr := range m.tries {
-			if !tr.Covers(pl.PC) {
+			if !tr.Covers(pc) {
 				continue
 			}
 			for _, h := range tr.Handlers {
@@ -253,18 +251,18 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 			regs[in.A] = fact{Taint: regs[in.B].Taint}
 			succNext()
 		case op == bytecode.OpNewInstance:
-			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pl.PC}}
+			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pc}}
 			succNext()
 		case op == bytecode.OpNewArray:
-			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pl.PC}}
+			regs[in.A] = fact{HasObj: true, Obj: objID{Method: m.key(), PC: pc}}
 			succNext()
 		case op == bytecode.OpThrow:
 			// No normal successor; handler edges are over-approximated away.
 		case op.IsGoto():
-			succAt(pl.PC + int(in.Off))
+			succAt(pc + int(in.Off))
 		case op.IsSwitch():
 			for _, t := range in.Targets {
-				succAt(pl.PC + int(t))
+				succAt(pc + int(t))
 			}
 			succNext()
 		case op.IsBranch():
@@ -273,7 +271,7 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 				condTaint |= regs[in.B].Taint
 			}
 			implicit |= condTaint
-			succAt(pl.PC + int(in.Off))
+			succAt(pc + int(in.Off))
 			succNext()
 		case op == bytecode.OpAGet || op == bytecode.OpAGetObject:
 			arr := regs[in.B]
@@ -327,7 +325,7 @@ func (an *analysis) pass(m *mMethod, recv fact, params []fact, depth int, stack 
 			}
 			succNext()
 		case op.IsInvoke():
-			regs[resultSlot] = an.invoke(m, pl.PC, in, regs, depth, stack, ambient)
+			regs[resultSlot] = an.invoke(m, pc, in, regs, depth, stack, ambient)
 			succNext()
 		case op == bytecode.OpNegInt || op == bytecode.OpNotInt:
 			regs[in.A] = fact{Taint: regs[in.B].Taint}
@@ -580,7 +578,7 @@ func (an *analysis) allocClass(o objID) string {
 		if mm.name+mm.sig != nameSig {
 			continue
 		}
-		if ci, ok := mm.pcIdx[o.PC]; ok {
+		if ci, ok := mm.at(o.PC); ok {
 			in := mm.code[ci].Inst
 			if in.Op == bytecode.OpNewInstance || in.Op == bytecode.OpNewArray {
 				return mm.file.TypeName(in.Index)

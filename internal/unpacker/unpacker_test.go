@@ -144,10 +144,11 @@ func TestDumperMissesSelfModifyingFlow(t *testing.T) {
 	}
 	f := findDumpedClass(files, "Lsm/Main;")
 	em := f.FindMethod("Lsm/Main;", "onCreate", "(Landroid/os/Bundle;)V")
-	placed, err := bytecode.DecodeAll(em.Code.Insns)
-	if err != nil {
+	prog := bytecode.Predecode(em.Code.Insns)
+	if err := prog.Err(); err != nil {
 		t.Fatal(err)
 	}
+	placed := prog.Insts()
 	sawMark, sawEvil := false, false
 	for _, pl := range placed {
 		if !pl.Inst.Op.IsInvoke() {

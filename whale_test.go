@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	root "dexlego"
+	"dexlego/internal/dex"
 	"dexlego/internal/obs"
 	"dexlego/internal/pipeline"
 	"dexlego/internal/store"
@@ -158,4 +159,31 @@ func TestWhaleHeapPeakCeiling(t *testing.T) {
 	if peak := acct.Finish(0, 0).HeapPeakBytes; peak > ceiling {
 		t.Errorf("whale reveal heap peak %d bytes exceeds %d ceiling", peak, int64(ceiling))
 	}
+}
+
+// TestVerifyAllocsIndependentOfSize: verifying a revealed whale allocates
+// the same number of times whether its giant method holds 5k or 40k
+// instructions — Verify walks bodies with reusable state instead of
+// materializing decoded instruction lists.
+func TestVerifyAllocsIndependentOfSize(t *testing.T) {
+	allocs := make(map[int]float64)
+	for _, n := range []int{5000, 40000} {
+		w, err := workload.Whale(workload.WhaleConfig{Classes: 4, GiantMethods: 1, GiantInsns: n, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := root.Reveal(w.APK, root.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs := dex.Verify(res.RevealedDex); len(errs) != 0 {
+			t.Fatalf("%d-instruction whale: %v", n, errs)
+		}
+		allocs[n] = testing.AllocsPerRun(5, func() { dex.Verify(res.RevealedDex) })
+	}
+	if allocs[5000] != allocs[40000] {
+		t.Errorf("Verify allocates %.0f times on the 5k whale, %.0f on the 40k whale",
+			allocs[5000], allocs[40000])
+	}
+	t.Logf("Verify allocations per call: %.0f", allocs[5000])
 }
