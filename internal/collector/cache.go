@@ -26,19 +26,33 @@ func EncodeRecord(rec *MethodRecord) ([]byte, error) {
 }
 
 // DecodeRecord deserializes a cached method record, rebuilding the
-// collection-time state JSON does not carry: parent links and the
-// fingerprint dedup index.
+// collection-time state JSON does not carry (see adoptTrees). Records
+// encoded before the IIM left the format still carry an "iim" object;
+// it is ignored, since the IL determines the index.
 func DecodeRecord(data []byte) (*MethodRecord, error) {
 	rec := &MethodRecord{}
 	if err := json.Unmarshal(data, rec); err != nil {
 		return nil, fmt.Errorf("collector: decode method record: %w", err)
 	}
-	rec.seen = make(map[string]bool, len(rec.Trees))
-	for _, tr := range rec.Trees {
-		fixParents(tr, nil)
-		rec.seen[tr.Fingerprint()] = true
+	if err := rec.adoptTrees(); err != nil {
+		return nil, err
 	}
 	return rec, nil
+}
+
+// adoptTrees rebuilds what decoded trees do not serialize — parent links
+// and the IIM — and computes each tree's fingerprint once, caching it on
+// the tree and seeding the record's dedup index with it.
+func (rec *MethodRecord) adoptTrees() error {
+	rec.seen = make(map[string]*TreeNode, len(rec.Trees))
+	for _, tr := range rec.Trees {
+		if err := reindex(tr, nil); err != nil {
+			return err
+		}
+		tr.fp = string(tr.fingerprint(nil))
+		rec.seen[tr.fp] = tr
+	}
+	return nil
 }
 
 // SpliceRecord grafts a cached record into r under its method key,

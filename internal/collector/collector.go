@@ -14,6 +14,7 @@ package collector
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -44,23 +45,25 @@ type Entry struct {
 // (IL) in first-execution order, the Instruction Index Map (IIM) from
 // dex_pc to IL index, the divergence bounds, and child links.
 //
-// During collection the IIM is kept as the dense pcIdx array instead of the
-// map: dex_pcs are small code-unit offsets, so an array lookup replaces a
-// map hash on the per-instruction hot path. The map form is materialized by
-// buildIIM only when a unique tree is published into a MethodRecord —
-// duplicate executions (the steady state of loops and repeated calls) never
-// pay for map construction at all.
+// The IIM is the dense pcIdx array: dex_pcs are small code-unit offsets,
+// so an array lookup replaces a map hash, both on the per-instruction
+// collection path and in the reassembler. Published trees keep the array
+// they were collected with; it is not serialized, because the IL
+// determines it, and decoders rebuild it. Index and Append are the only
+// accessors, so the index stays in step with the IL.
 type TreeNode struct {
 	IL       []Entry     `json:"il"`
-	IIM      map[int]int `json:"iim"`
 	SmStart  int         `json:"smStart"` // divergence dex_pc; -1 for the root
 	SmEnd    int         `json:"smEnd"`   // convergence dex_pc; -1 if none
 	Children []*TreeNode `json:"children,omitempty"`
 	Parent   *TreeNode   `json:"-"`
 
 	// pcIdx[pc] is the IL index of the entry collected at dex_pc pc, or -1.
-	// Collection-time only; published trees carry the IIM map instead.
 	pcIdx []int32
+	// fp caches the canonical fingerprint of a published tree: set once
+	// when the collector publishes the tree or a decoder reads it, and
+	// cleared by Append. Empty means "compute on demand".
+	fp string
 }
 
 func newNode(parent *TreeNode, smStart int) *TreeNode {
@@ -71,56 +74,72 @@ func newNode(parent *TreeNode, smStart int) *TreeNode {
 	}
 }
 
-// ilIndex is the collection-time IIM lookup: the IL index of the entry at
-// dex_pc pc, if one was collected in this node.
-func (n *TreeNode) ilIndex(pc int) (int, bool) {
+// Index looks up the IIM: the IL index of the entry at dex_pc pc, if one
+// was collected in this node.
+func (n *TreeNode) Index(pc int) (int, bool) {
 	if pc < 0 || pc >= len(n.pcIdx) || n.pcIdx[pc] < 0 {
 		return 0, false
 	}
 	return int(n.pcIdx[pc]), true
 }
 
-// push records an instruction in the node (Algorithm 1 lines 29-31).
-func (n *TreeNode) push(e Entry) {
+// Append records an instruction in the node (Algorithm 1 lines 29-31),
+// keeping the IIM in step. Within a node each dex_pc appears at most once:
+// callers check Index first, and a re-executed pc either deduplicates or
+// forks a child.
+func (n *TreeNode) Append(e Entry) {
 	if e.DexPC >= len(n.pcIdx) {
-		n.growPCIdx(e.DexPC)
+		size := e.DexPC + 1
+		if size > cap(n.pcIdx) {
+			// Double, so a node filled front to back reallocates O(log n) times.
+			size = max(size, 2*cap(n.pcIdx))
+		}
+		n.growIndex(size)
 	}
 	n.pcIdx[e.DexPC] = int32(len(n.IL))
 	n.IL = append(n.IL, e)
+	n.fp = ""
 }
 
-// growPCIdx extends pcIdx to cover pc, filling new slots with -1. Growth
-// doubles so a method walked front to back reallocates O(log n) times, and
-// recycled nodes keep their backing array.
-func (n *TreeNode) growPCIdx(pc int) {
+// growIndex extends pcIdx to size slots, filling new ones with -1.
+// Recycled nodes keep their backing array.
+func (n *TreeNode) growIndex(size int) {
 	old := len(n.pcIdx)
-	if cap(n.pcIdx) > pc {
-		n.pcIdx = n.pcIdx[:pc+1]
+	if cap(n.pcIdx) >= size {
+		n.pcIdx = n.pcIdx[:size]
 	} else {
-		newCap := pc + 1
-		if d := 2 * cap(n.pcIdx); d > newCap {
-			newCap = d
-		}
-		grown := make([]int32, pc+1, newCap)
+		grown := make([]int32, size)
 		copy(grown, n.pcIdx)
 		n.pcIdx = grown
 	}
-	for i := old; i < len(n.pcIdx); i++ {
+	for i := old; i < size; i++ {
 		n.pcIdx[i] = -1
 	}
 }
 
-// buildIIM materializes the published (map) form of the IIM for the subtree.
-// Within a node each dex_pc appears at most once in the IL (a re-executed pc
-// either deduplicates or forks a child), so the IL walk is exact.
-func buildIIM(n *TreeNode) {
-	n.IIM = make(map[int]int, len(n.IL))
+// reindex rebuilds the IIM of a decoded subtree from its IL and restores
+// the parent links JSON does not carry.
+func reindex(n, parent *TreeNode) error {
+	n.Parent = parent
+	size := 0
 	for i := range n.IL {
-		n.IIM[n.IL[i].DexPC] = i
+		pc := n.IL[i].DexPC
+		if pc < 0 {
+			return fmt.Errorf("collector: decoded tree entry at negative dex_pc %d", pc)
+		}
+		size = max(size, pc+1)
+	}
+	n.pcIdx = n.pcIdx[:0]
+	n.growIndex(size)
+	for i := range n.IL {
+		n.pcIdx[n.IL[i].DexPC] = int32(i)
 	}
 	for _, c := range n.Children {
-		buildIIM(c)
+		if err := reindex(c, n); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // Size returns the total number of instructions in the subtree.
@@ -211,8 +230,12 @@ func appendSym(buf []byte, s *Symbol) []byte {
 	return buf
 }
 
-// Fingerprint returns the canonical identity of the tree.
+// Fingerprint returns the canonical identity of the tree. Published and
+// decoded trees return the value cached when they were published or read.
 func (n *TreeNode) Fingerprint() string {
+	if n.fp != "" {
+		return n.fp
+	}
 	return string(n.fingerprint(nil))
 }
 
@@ -240,7 +263,9 @@ type MethodRecord struct {
 	// never admitted into the incremental method cache.
 	Written bool `json:"written,omitempty"`
 
-	seen map[string]bool
+	// seen maps the fingerprint of each of Trees to its tree (allocated
+	// with the first one).
+	seen map[string]*TreeNode
 }
 
 // Key returns the canonical method key.
@@ -337,7 +362,6 @@ func (r *Result) method(m *art.Method) *MethodRecord {
 		Virtual:       m.Virtual,
 		RegistersSize: m.RegistersSize,
 		InsSize:       m.InsSize,
-		seen:          make(map[string]bool),
 	}
 	r.Methods[key] = rec
 	return rec
@@ -368,8 +392,22 @@ func (r *Result) ExecutedInstructionCount() int {
 // methodExec is one in-flight execution of one method.
 type methodExec struct {
 	method *art.Method
+	recs   methodRecs
 	root   *TreeNode
 	cur    *TreeNode
+}
+
+// methodRecs caches, per runtime method, its record in the collector's
+// result and its record in the base result (nil when there is none).
+type methodRecs struct {
+	rec, base *MethodRecord
+}
+
+// symKey identifies a constant-pool operand for symbol interning.
+type symKey struct {
+	file  *dex.File
+	kind  bytecode.IndexKind
+	index uint32
 }
 
 // Collector performs JIT collection over an instrumented runtime.
@@ -397,6 +435,17 @@ type Collector struct {
 	skip     map[string]bool
 	touched  map[string]bool
 	violated map[string]bool
+
+	// Source dedup state (SetBase): trees whose fingerprint the base
+	// already holds are recycled at method exit. baseSeen holds the base
+	// trees matched so far, so each counts once in merge statistics.
+	base     *Result
+	baseSeen map[*TreeNode]bool
+
+	// recs caches each method's records, so hooks hash a pointer rather
+	// than the method key; syms interns resolved constant-pool operands.
+	recs map[*art.Method]methodRecs
+	syms map[symKey]*Symbol
 
 	// Scratch reused across hook invocations. The single-runtime ownership
 	// contract above makes unsynchronized reuse safe: hooks never overlap.
@@ -459,7 +508,8 @@ func (c *Collector) leave() { c.busy.Store(0) }
 // New returns an empty collector.
 func New() *Collector {
 	c := &Collector{
-		res: &Result{Methods: make(map[string]*MethodRecord)},
+		res:  &Result{Methods: make(map[string]*MethodRecord)},
+		recs: make(map[*art.Method]methodRecs),
 	}
 	c.hooks = &art.Hooks{
 		MethodEntered:       c.methodEntered,
@@ -482,6 +532,18 @@ func (c *Collector) SetSkip(skip map[string]bool) {
 	c.touched = make(map[string]bool)
 	c.violated = make(map[string]bool)
 }
+
+// SetBase installs a read-only base result: a tree whose fingerprint the
+// base record of its method already holds is discarded at method exit,
+// exactly like a duplicate of the collector's own trees, because merging
+// into the base would drop it by the same key. The force-execution engine
+// gives each forced-run shard the campaign result as its base. The caller
+// must not modify base while this collector's runtime executes. Must be
+// set before the runtime executes.
+func (c *Collector) SetBase(base *Result) { c.base = base }
+
+// BaseHits counts the distinct trees discarded because the base held them.
+func (c *Collector) BaseHits() int { return len(c.baseSeen) }
 
 // SkipTouched returns the skip-listed method keys that were actually
 // entered during execution — the methods whose cached trees must be
@@ -530,6 +592,19 @@ func (c *Collector) Result() *Result { return c.res }
 
 func appMethod(m *art.Method) bool { return m.Class != nil && m.Class.File != nil }
 
+// records returns m's cached records, looking them up on first sight.
+func (c *Collector) records(m *art.Method) methodRecs {
+	if rs, ok := c.recs[m]; ok {
+		return rs
+	}
+	rs := methodRecs{rec: c.res.method(m)}
+	if c.base != nil {
+		rs.base = c.base.Methods[m.Key()]
+	}
+	c.recs[m] = rs
+	return rs
+}
+
 func (c *Collector) methodEntered(m *art.Method) {
 	c.enter()
 	defer c.leave()
@@ -544,18 +619,19 @@ func (c *Collector) methodEntered(m *art.Method) {
 		return
 	}
 	root := c.newNode(nil, -1)
+	// Record shape on first sight; a method may be entered before its class
+	// record exists (e.g. <clinit>).
+	rs := c.records(m)
 	var ex *methodExec
 	if n := len(c.freeExecs); n > 0 {
 		ex = c.freeExecs[n-1]
 		c.freeExecs = c.freeExecs[:n-1]
-		*ex = methodExec{method: m, root: root, cur: root}
+		*ex = methodExec{method: m, recs: rs, root: root, cur: root}
 	} else {
-		ex = &methodExec{method: m, root: root, cur: root}
+		ex = &methodExec{method: m, recs: rs, root: root, cur: root}
 	}
 	c.stack = append(c.stack, ex)
-	// Record shape on first sight; a method may be entered before its class
-	// record exists (e.g. <clinit>).
-	rec := c.res.method(m)
+	rec := rs.rec
 	rec.RegistersSize = m.RegistersSize
 	rec.InsSize = m.InsSize
 	if rec.Tries == nil && len(m.Tries) > 0 && m.Class.File != nil {
@@ -587,24 +663,38 @@ func (c *Collector) methodExited(m *art.Method) {
 		return // unbalanced (native transitions); keep the stack sane
 	}
 	c.stack = c.stack[:len(c.stack)-1]
-	root := top.root
+	root, rec, base := top.root, top.recs.rec, top.recs.base
 	*top = methodExec{}
 	c.freeExecs = append(c.freeExecs, top)
 	if len(root.IL) == 0 {
 		c.recycleTree(root)
 		return
 	}
-	rec := c.res.method(m)
 	// Build the fingerprint in the reused scratch buffer and look it up
 	// without materializing a string: duplicate executions (the steady
 	// state of loops and repeated calls) then dedupe allocation-free.
 	c.fpBuf = root.fingerprint(c.fpBuf[:0])
-	if rec.seen[string(c.fpBuf)] {
+	if rec.seen[string(c.fpBuf)] != nil {
 		c.recycleTree(root)
 		return // keep only unique trees
 	}
-	rec.seen[string(c.fpBuf)] = true
-	buildIIM(root)
+	if base != nil {
+		if t := base.seen[string(c.fpBuf)]; t != nil {
+			// The base already holds this tree, so merging would drop it.
+			// Each distinct one counts once, as the merge counted it.
+			if c.baseSeen == nil {
+				c.baseSeen = make(map[*TreeNode]bool)
+			}
+			c.baseSeen[t] = true
+			c.recycleTree(root)
+			return
+		}
+	}
+	root.fp = string(c.fpBuf)
+	if rec.seen == nil {
+		rec.seen = make(map[string]*TreeNode)
+	}
+	rec.seen[root.fp] = root
 	rec.Trees = append(rec.Trees, root)
 	if c.span.Enabled() {
 		c.span.MethodCollected(rec.Key(), root.Depth(), root.Size())
@@ -634,28 +724,26 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, inp *byte
 	if inp == nil {
 		return // malformed live code; the interpreter will surface it
 	}
-	in := *inp
 	// Symbol resolution is deferred past the dedup check below: the steady
 	// state (loop bodies, repeated calls) re-executes recorded instructions,
 	// which must not allocate.
 	cur := top.cur
-	if ilIdx, ok := cur.ilIndex(pc); ok {
-		old := cur.IL[ilIdx]
-		if old.Inst.Equal(in) {
+	if ilIdx, ok := cur.Index(pc); ok {
+		if cur.IL[ilIdx].Inst.Equal(*inp) {
 			return // same instruction at same dex_pc: deduplicate
 		}
 		// Divergence: a runtime modification happened here.
 		child := c.newNode(cur, pc)
 		cur.Children = append(cur.Children, child)
 		top.cur = child
-		child.push(Entry{DexPC: pc, Inst: in, Sym: resolveSym(m, in)})
+		c.collect(child, m, pc, insns, inp)
 		if c.span.Enabled() {
 			c.span.TreeFork(m.Key(), pc, layerDepth(child))
 		}
 		return
 	}
 	if cur.Parent != nil {
-		if pIdx, ok := cur.Parent.ilIndex(pc); ok && cur.Parent.IL[pIdx].Inst.Equal(in) {
+		if pIdx, ok := cur.Parent.Index(pc); ok && cur.Parent.IL[pIdx].Inst.Equal(*inp) {
 			// Convergence: this self-modification layer ended.
 			cur.SmEnd = pc
 			top.cur = cur.Parent
@@ -665,12 +753,22 @@ func (c *Collector) instruction(m *art.Method, pc int, insns []uint16, inp *byte
 			return
 		}
 	}
-	if cur.Parent == nil && cap(cur.IL) == 0 {
-		// A fresh root: size its IL from the method once instead of
-		// regrowing it as it fills (instructions average about two units).
+	if cur.Parent == nil && len(cur.IL) == 0 && cap(cur.IL) < len(insns)/2+1 {
+		// A fresh root, or one recycled from a smaller method: size its
+		// IL from the method once instead of regrowing it as it fills
+		// (instructions average about two units).
 		cur.IL = make([]Entry, 0, len(insns)/2+1)
 	}
-	cur.push(Entry{DexPC: pc, Inst: in, Sym: resolveSym(m, in)})
+	c.collect(cur, m, pc, insns, inp)
+}
+
+// collect appends the instruction at pc to n with its operand resolved.
+// The node's IIM is sized from the method once, so it never regrows.
+func (c *Collector) collect(n *TreeNode, m *art.Method, pc int, insns []uint16, in *bytecode.Inst) {
+	if len(n.pcIdx) < len(insns) {
+		n.growIndex(len(insns))
+	}
+	n.Append(Entry{DexPC: pc, Inst: *in, Sym: c.resolveSym(m, in)})
 }
 
 // predecodeHit traces a method binding to a cached predecoded program.
@@ -711,15 +809,21 @@ func (c *Collector) codeWritten(m *art.Method, pc int) {
 	if c.skip != nil && c.skip[key] {
 		c.violated[key] = true
 	}
-	c.res.method(m).Written = true
+	c.records(m).rec.Written = true
 }
 
-func resolveSym(m *art.Method, in bytecode.Inst) *Symbol {
+// resolveSym resolves in's constant-pool operand, interned per collector:
+// every execution of the same operand shares one read-only Symbol.
+func (c *Collector) resolveSym(m *art.Method, in *bytecode.Inst) *Symbol {
 	kind := in.Op.Index()
 	if kind == bytecode.IndexNone || m.Class.File == nil {
 		return nil
 	}
 	f := m.Class.File
+	key := symKey{file: f, kind: kind, index: in.Index}
+	if s, ok := c.syms[key]; ok {
+		return s
+	}
 	s := &Symbol{Kind: kind}
 	switch kind {
 	case bytecode.IndexString:
@@ -731,6 +835,10 @@ func resolveSym(m *art.Method, in bytecode.Inst) *Symbol {
 	case bytecode.IndexMethod:
 		s.Method = f.MethodAt(in.Index)
 	}
+	if c.syms == nil {
+		c.syms = make(map[symKey]*Symbol)
+	}
+	c.syms[key] = s
 	return s
 }
 
@@ -829,7 +937,7 @@ func (c *Collector) reflectiveCall(caller *art.Method, pc int, target *art.Metho
 	if caller == nil || !appMethod(caller) {
 		return
 	}
-	rec := c.res.method(caller)
+	rec := c.records(caller).rec
 	if rec.ReflTargets == nil {
 		rec.ReflTargets = make(map[int][]ReflTarget)
 	}

@@ -67,9 +67,9 @@ func TestLoopDeduplication(t *testing.T) {
 		t.Errorf("depth = %d", tree.Depth())
 	}
 	// IL order is first-execution order, and the IIM inverts it.
-	for pc, idx := range tree.IIM {
-		if tree.IL[idx].DexPC != pc {
-			t.Errorf("IIM[%d] = %d points at pc %d", pc, idx, tree.IL[idx].DexPC)
+	for i, e := range tree.IL {
+		if idx, ok := tree.Index(e.DexPC); !ok || idx != i {
+			t.Errorf("Index(%d) = %d, %t; want %d", e.DexPC, idx, ok, i)
 		}
 	}
 }

@@ -171,10 +171,8 @@ func ReadFiles(dir string) (*Result, error) {
 	for _, me := range methods {
 		shellsByClass[me.Class] = me.Shells
 		for _, rec := range me.Records {
-			rec.seen = make(map[string]bool)
-			for _, tr := range rec.Trees {
-				fixParents(tr, nil)
-				rec.seen[tr.Fingerprint()] = true
+			if err := rec.adoptTrees(); err != nil {
+				return nil, err
 			}
 			res.Methods[rec.Key()] = rec
 		}
@@ -201,17 +199,10 @@ func ReadFiles(dir string) (*Result, error) {
 	for _, be := range codes {
 		if rec, ok := res.Methods[be.Method]; ok && len(rec.Trees) == 0 {
 			rec.Trees = be.Trees
-			for _, tr := range rec.Trees {
-				fixParents(tr, nil)
+			if err := rec.adoptTrees(); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return res, nil
-}
-
-func fixParents(n *TreeNode, parent *TreeNode) {
-	n.Parent = parent
-	for _, c := range n.Children {
-		fixParents(c, n)
-	}
 }

@@ -2,13 +2,17 @@ package collector
 
 import (
 	"encoding/json"
+	"reflect"
 	"sort"
 )
 
 // MergeStats summarizes one Result.Merge call — the inputs of the
 // worker_merge trace event.
 type MergeStats struct {
-	// TreesOffered counts collection trees in the incoming result.
+	// TreesOffered counts collection trees in the incoming result. The
+	// force-execution engine adds the trees a shard discarded at the
+	// source because its base held them (Collector.BaseHits), so the
+	// figure is what the shard executed, not what it kept.
 	TreesOffered int
 	// TreesKept counts offered trees adopted into the receiver; the
 	// difference is fingerprint-duplicate dedup hits.
@@ -44,7 +48,12 @@ func (r *Result) Merge(other *Result) MergeStats {
 		// states (forced branches change <clinit> effects). Keeping the
 		// record with the smaller canonical encoding is arbitrary but
 		// commutative and associative, so the survivor is independent of
-		// shard count and merge order.
+		// shard count and merge order. Equal records — nearly every merge —
+		// skip the encoding; an inequality DeepEqual reports spuriously
+		// (nil against empty) falls through to the same comparison.
+		if reflect.DeepEqual(oc, ec) {
+			continue
+		}
 		if oe, ee := classEncoding(oc), classEncoding(ec); oe < ee {
 			*ec = *oc
 			st.Classes++
@@ -59,7 +68,7 @@ func (r *Result) Merge(other *Result) MergeStats {
 				Signature:   om.Signature,
 				AccessFlags: om.AccessFlags,
 				Virtual:     om.Virtual,
-				seen:        make(map[string]bool, len(om.Trees)),
+				seen:        make(map[string]*TreeNode, len(om.Trees)),
 			}
 			r.Methods[key] = rm
 		}
@@ -73,20 +82,20 @@ func (r *Result) Merge(other *Result) MergeStats {
 			rm.Tries = om.Tries
 		}
 		if rm.seen == nil {
-			// Records decoded from files carry no fingerprint index; rebuild
-			// it once from the trees already present.
-			rm.seen = make(map[string]bool, len(rm.Trees))
+			// A record built outside the collector and its decoders carries
+			// no fingerprint index; rebuild it once from its trees.
+			rm.seen = make(map[string]*TreeNode, len(rm.Trees))
 			for _, t := range rm.Trees {
-				rm.seen[t.Fingerprint()] = true
+				rm.seen[t.Fingerprint()] = t
 			}
 		}
 		st.TreesOffered += len(om.Trees)
 		for _, t := range om.Trees {
 			fp := t.Fingerprint()
-			if rm.seen[fp] {
+			if rm.seen[fp] != nil {
 				continue
 			}
-			rm.seen[fp] = true
+			rm.seen[fp] = t
 			rm.Trees = append(rm.Trees, t)
 			st.TreesKept++
 		}

@@ -190,6 +190,12 @@ func (e *Engine) newTask(tracker *coverage.Tracker, path PathFile, site *coverag
 	t := &task{path: path, site: site, tracker: tracker.Shard()}
 	if e.Collector != nil {
 		t.col = collector.New()
+		// The campaign result is the shard's read-only base: trees it
+		// already holds are dropped at method exit instead of at the
+		// barrier. It is written only in mergeTasks, after runTasks'
+		// wg.Wait, and the go statements starting the workers order every
+		// earlier merge before the shards read it.
+		t.col.SetBase(e.Collector.Result())
 		if e.Skip != nil {
 			// Shards honor the same skip list as the main collector, so the
 			// cached/fresh tree partition survives the iteration barrier.
@@ -362,7 +368,8 @@ func (e *Engine) runTask(t *task, active map[string]map[int]bool, iter int, span
 
 // mergeTasks is the iteration barrier: shards fold back in task order —
 // coverage unions, collection trees dedup by fingerprint — and the
-// campaign counters accumulate. Failed tasks contribute nothing.
+// campaign counters accumulate. Failed tasks contribute nothing. It is the
+// only writer of the collector result the shards read as their base.
 func (e *Engine) mergeTasks(span *obs.Span, tracker *coverage.Tracker, tasks []*task, stats *Stats, iter int) {
 	for ti, t := range tasks {
 		if t.err != nil {
@@ -371,6 +378,9 @@ func (e *Engine) mergeTasks(span *obs.Span, tracker *coverage.Tracker, tasks []*
 		tracker.Merge(t.tracker)
 		if t.col != nil {
 			st := e.Collector.Result().Merge(t.col.Result())
+			// Trees the shard dropped against the base were executed and
+			// deduplicated all the same.
+			st.TreesOffered += t.col.BaseHits()
 			e.Collector.AbsorbSkipState(t.col)
 			if span.Enabled() {
 				span.WorkerMerge(ti, iter, st.TreesOffered, st.TreesKept)

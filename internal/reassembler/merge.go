@@ -61,11 +61,9 @@ func compatible(a, b *collector.TreeNode) bool {
 	if a.SmStart != b.SmStart {
 		return false
 	}
-	for pc, bi := range b.IIM {
-		if ai, ok := a.IIM[pc]; ok {
-			if !a.IL[ai].Inst.Equal(b.IL[bi].Inst) {
-				return false
-			}
+	for i := range b.IL {
+		if ai, ok := a.Index(b.IL[i].DexPC); ok && !a.IL[ai].Inst.Equal(b.IL[i].Inst) {
+			return false
 		}
 	}
 	// Children pair by SmStart; a child present in both must be compatible.
@@ -83,11 +81,9 @@ func compatible(a, b *collector.TreeNode) bool {
 // and owned by the caller; b is never mutated).
 func union(a, b *collector.TreeNode) {
 	for _, e := range b.IL {
-		if _, ok := a.IIM[e.DexPC]; ok {
-			continue
+		if _, ok := a.Index(e.DexPC); !ok {
+			a.Append(e)
 		}
-		a.IIM[e.DexPC] = len(a.IL)
-		a.IL = append(a.IL, e)
 	}
 	if a.SmEnd < 0 {
 		a.SmEnd = b.SmEnd
@@ -111,16 +107,17 @@ func union(a, b *collector.TreeNode) {
 	})
 }
 
+// cloneTree deep-copies n through Append, so the clone carries its own IIM
+// and no cached fingerprint.
 func cloneTree(n *collector.TreeNode, parent *collector.TreeNode) *collector.TreeNode {
 	out := &collector.TreeNode{
-		IL:      append([]collector.Entry(nil), n.IL...),
-		IIM:     make(map[int]int, len(n.IIM)),
+		IL:      make([]collector.Entry, 0, len(n.IL)),
 		SmStart: n.SmStart,
 		SmEnd:   n.SmEnd,
 		Parent:  parent,
 	}
-	for k, v := range n.IIM {
-		out.IIM[k] = v
+	for _, e := range n.IL {
+		out.Append(e)
 	}
 	for _, c := range n.Children {
 		out.Children = append(out.Children, cloneTree(c, out))

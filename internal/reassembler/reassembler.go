@@ -531,12 +531,17 @@ func (fl *flattener) assignBases(n *collector.TreeNode) {
 
 // labelAt returns the label for the instruction n logged at pc.
 func (fl *flattener) labelAt(n *collector.TreeNode, pc int) bytecode.LabelID {
-	idx, ok := n.IIM[pc]
+	idx, ok := n.Index(pc)
 	if !ok {
 		// No instruction at pc: a fresh label that is never bound, so
 		// assembly reports it undefined (same diagnostic as named labels).
 		return fl.asm.NewLabel()
 	}
+	return fl.label(n, idx)
+}
+
+// label returns the label of n's IL entry idx.
+func (fl *flattener) label(n *collector.TreeNode, idx int) bytecode.LabelID {
 	if n == fl.tree {
 		return fl.rootBase + bytecode.LabelID(idx)
 	}
@@ -547,8 +552,8 @@ func (fl *flattener) labelAt(n *collector.TreeNode, pc int) bytecode.LabelID {
 // walking ancestors; unexecuted targets go to the shared trailer.
 func (fl *flattener) resolve(n *collector.TreeNode, pc int) bytecode.LabelID {
 	for k := n; k != nil; k = k.Parent {
-		if _, ok := k.IIM[pc]; ok {
-			return fl.labelAt(k, pc)
+		if idx, ok := k.Index(pc); ok {
+			return fl.label(k, idx)
 		}
 	}
 	if fl.unexecID < 0 {
